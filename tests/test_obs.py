@@ -194,6 +194,33 @@ class TestMetrics:
                      "sweep.points_restored", "faults.injected"):
             assert snap["counters"][name] == 0
 
+    def test_every_well_known_instrument_has_an_emitter(self):
+        # A declaration whose emitting code was deleted would sit at
+        # zero in every snapshot forever; grep the package for a site.
+        import pathlib
+
+        import repro
+        from repro.obs.metrics import WELL_KNOWN
+        from repro.obs.profile import PHASE_PREFIX
+
+        package = pathlib.Path(repro.__file__).parent
+        declaring = package / "obs" / "metrics.py"
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(package.rglob("*.py"))
+            if path != declaring
+        )
+        orphans = []
+        for name in WELL_KNOWN["counters"] + WELL_KNOWN["histograms"]:
+            sites = [f'"{name}"']
+            if name.startswith(PHASE_PREFIX):
+                short = name[len(PHASE_PREFIX):]
+                # phase() times a phase; _record() books the residual.
+                sites += [f'phase("{short}")', f'_record("{short}"']
+            if not any(site in source for site in sites):
+                orphans.append(name)
+        assert orphans == []
+
 
 class TestSweepTelemetry:
     def test_sweep_reports_points_and_branches(self, trace):
