@@ -337,7 +337,7 @@ def scan_result_store(
     """
     import json as _json
 
-    from repro.obs.ledger import _entry_crc
+    from repro.runtime.checkpoint import record_crc
 
     from repro.serve.results import RESULT_SCHEMA, ResultStore
 
@@ -370,7 +370,7 @@ def scan_result_store(
                 or payload.get("schema") != RESULT_SCHEMA
             ):
                 why = "missing or unrecognized result schema"
-            elif payload.get("crc") != _entry_crc(payload):
+            elif payload.get("crc") != record_crc(payload):
                 why = "CRC mismatch (bytes rotted or torn)"
             elif payload.get("key") != claimed:
                 why = (
@@ -424,7 +424,7 @@ def scan_queue(directory: str, repair: bool = False) -> List[Finding]:
     """
     import json as _json
 
-    from repro.obs.ledger import _entry_crc
+    from repro.runtime.checkpoint import record_crc
 
     from repro.serve.daemon import JOB_RESULT_SCHEMA
     from repro.serve.queue import JobQueue, _decode_line
@@ -515,7 +515,7 @@ def scan_queue(directory: str, repair: bool = False) -> List[Finding]:
         if why is None and (
             not isinstance(payload, dict)
             or payload.get("schema") != JOB_RESULT_SCHEMA
-            or payload.get("crc") != _entry_crc(payload)
+            or payload.get("crc") != record_crc(payload)
         ):
             why = "job result artifact fails schema or CRC check"
         if why is not None:

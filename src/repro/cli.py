@@ -558,9 +558,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "Long-lived scheduler: clients drop jobs into the queue "
             "with `repro submit`, the daemon decomposes them into "
             "sweep points, serves whatever the content-addressed "
-            "result store already holds, and fans the rest over one "
-            "shared worker pool. SIGTERM/SIGINT drain resumably and "
-            "exit 0."
+            "result store already holds, and computes the rest with "
+            "the parallel executor of `repro run --workers`, one "
+            "benchmark sweep at a time. SIGTERM/SIGINT drain resumably "
+            "and exit 0."
         ),
     )
     _add_queue_option(serve)
@@ -569,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker processes in the shared pool (default: 2)",
+        help="worker processes per sweep (default: 2)",
     )
     serve.add_argument(
         "--once",
@@ -582,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         metavar="S",
-        help="seconds between queue/worker polls (default: 0.05)",
+        help="seconds between idle queue scans (default: 0.05)",
     )
     serve.add_argument(
         "--dashboard",

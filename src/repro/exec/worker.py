@@ -16,9 +16,11 @@ streams its spans to a per-worker JSONL sink, and saves a final
 metrics snapshot the parent absorbs at join — so the merged
 ``run_metrics.json`` counts every branch any worker simulated.
 
-SIGINT is the parent's concern: workers ignore it and instead poll the
-scratch directory's stop flag between points, finishing the in-flight
-point, flushing, and exiting cleanly when a drain is requested.
+SIGINT and SIGTERM are the parent's concern: workers ignore SIGINT,
+keep SIGTERM's default action (the parent's ``terminate()`` of a hung
+worker), and poll the scratch directory's stop flag between points,
+finishing the in-flight point, flushing, and exiting cleanly when a
+drain is requested.
 """
 
 from __future__ import annotations
@@ -108,6 +110,9 @@ def worker_main(plan: WorkerPlan) -> None:
         # Ctrl-C lands on the parent, which coordinates the drain; a
         # worker interrupting mid-append could tear its own shard.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A fork inherits the parent's deferring SIGTERM handler; the
+        # default lets terminate() still stop a hung worker.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
     from repro.obs.profile import disable_profiling, enable_profiling

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Schema tag stamped into every ledger line.
@@ -74,13 +73,6 @@ def resolve_ledger_path(override: Optional[str] = None) -> Optional[str]:
     return os.path.expanduser(DEFAULT_LEDGER)
 
 
-def _entry_crc(payload: Dict[str, Any]) -> int:
-    """crc32 of the canonical JSON encoding (sans the ``crc`` field)."""
-    body = {k: v for k, v in payload.items() if k != "crc"}
-    canonical = json.dumps(body, sort_keys=True).encode("ascii")
-    return zlib.crc32(canonical) & 0xFFFFFFFF
-
-
 def _decode_entry(line: str) -> Optional[Dict[str, Any]]:
     """Decode one ledger line; ``None`` when torn/corrupt/foreign."""
     try:
@@ -91,7 +83,9 @@ def _decode_entry(line: str) -> Optional[Dict[str, Any]]:
         return None
     if payload.get("schema") != LEDGER_SCHEMA:
         return None
-    if payload.get("crc") != _entry_crc(payload):
+    from repro.runtime.checkpoint import record_crc
+
+    if payload.get("crc") != record_crc(payload):
         return None
     return payload
 
@@ -165,7 +159,7 @@ def append_entry(
     target = resolve_ledger_path(path)
     if target is None:
         return None
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.checkpoint import atomic_write_text, record_crc
 
     directory = os.path.dirname(target)
     if directory:
@@ -176,7 +170,7 @@ def append_entry(
             recover_ledger(target)
     entries, _ = load_entries(target)
     payload = {k: v for k, v in entry.items() if k != "crc"}
-    payload["crc"] = _entry_crc(payload)
+    payload["crc"] = record_crc(payload)
     text = "".join(
         json.dumps(row, sort_keys=True) + "\n" for row in entries
     ) + json.dumps(payload, sort_keys=True) + "\n"

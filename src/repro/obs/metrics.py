@@ -229,7 +229,6 @@ WELL_KNOWN = {
         "serve.jobs_completed",    # jobs finished with a result artifact
         "serve.jobs_failed",       # jobs that ended in an error state
         "serve.jobs_cancelled",    # jobs cancelled before completion
-        "serve.rounds",            # worker-pool rounds the daemon spawned
     ),
     "gauges": (),
     "histograms": (

@@ -18,6 +18,7 @@ from repro.runtime.checkpoint import (
     CheckpointJournal,
     atomic_write_text,
     flush_open_journals,
+    record_crc,
     sweep_key,
 )
 from repro.runtime.deadline import (
@@ -44,6 +45,7 @@ __all__ = [
     "CheckpointJournal",
     "atomic_write_text",
     "flush_open_journals",
+    "record_crc",
     "sweep_key",
     "CooperativeInterrupt",
     "Deadline",

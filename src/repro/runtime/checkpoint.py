@@ -84,20 +84,14 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _point_payload(n: int, point: TierPoint) -> Dict:
-    return {
-        "kind": "point",
-        "n": n,
-        "col_bits": point.col_bits,
-        "row_bits": point.row_bits,
-        "misprediction_rate": point.misprediction_rate,
-        "aliasing_rate": point.aliasing_rate,
-        "first_level_miss_rate": point.first_level_miss_rate,
-    }
+def record_crc(payload: Dict) -> int:
+    """crc32 of a durable record's canonical JSON, ``crc`` field excluded.
 
-
-def _payload_crc(payload: Dict) -> int:
-    canonical = json.dumps(payload, sort_keys=True).encode("ascii")
+    The one checksum behind every CRC-stamped record: journal points,
+    ledger rows, job-file lines, result and job-result artifacts.
+    """
+    body = {k: v for k, v in payload.items() if k != "crc"}
+    canonical = json.dumps(body, sort_keys=True).encode("ascii")
     return zlib.crc32(canonical) & 0xFFFFFFFF
 
 
@@ -180,11 +174,11 @@ class CheckpointJournal:
             )
         ]
         for index, (n, point) in enumerate(self.points):
-            payload = _point_payload(n, point)
+            payload = {"kind": "point", **point.to_json(n)}
             stamp = self._stamps.get(index)
             if stamp is not None:
                 payload["token"], payload["shard"] = stamp
-            payload["crc"] = _payload_crc(dict(payload))
+            payload["crc"] = record_crc(payload)
             lines.append(json.dumps(payload, sort_keys=True))
         text = "\n".join(lines) + "\n"
         fired = fire_site("checkpoint.flush")
@@ -293,18 +287,7 @@ def _load_points(
         if fence is not None and _superseded(payload, fence):
             counter("lease.fence_rejections").inc()
             continue
-        points.append(
-            (
-                payload["n"],
-                TierPoint(
-                    col_bits=payload["col_bits"],
-                    row_bits=payload["row_bits"],
-                    misprediction_rate=payload["misprediction_rate"],
-                    aliasing_rate=payload.get("aliasing_rate"),
-                    first_level_miss_rate=payload.get("first_level_miss_rate"),
-                ),
-            )
-        )
+        points.append((payload["n"], TierPoint.from_json(payload)))
     return points
 
 
@@ -326,7 +309,6 @@ def _decode_point_line(line: str) -> Optional[Dict]:
         return None
     if not isinstance(payload, dict) or payload.get("kind") != "point":
         return None
-    crc = payload.pop("crc", None)
-    if crc != _payload_crc(payload):
+    if payload.pop("crc", None) != record_crc(payload):
         return None
     return payload

@@ -7,8 +7,8 @@ at a *point boundary* with its journal intact, never mid-write:
   when it expires the sweep raises :class:`DeadlineExceeded` *after*
   flushing, so the run is resumable.
 * :class:`CooperativeInterrupt` -- a context manager that converts
-  SIGINT into a flag; the sweep finishes the current point, flushes the
-  journal, and then re-raises ``KeyboardInterrupt`` cleanly.
+  SIGINT and SIGTERM into a flag; the sweep finishes the current point,
+  flushes the journal, and then re-raises ``KeyboardInterrupt`` cleanly.
 * :func:`retry_with_backoff` -- bounded retries for transient failures
   (artifact-directory contention, flaky filesystems).
 """
@@ -67,43 +67,48 @@ class Deadline:
 
 
 class CooperativeInterrupt:
-    """Defer SIGINT to the next point boundary.
+    """Defer SIGINT and SIGTERM to the next point boundary.
 
-    Inside the ``with`` block the first Ctrl-C only sets a flag; the
+    Inside the ``with`` block the first signal only sets a flag; the
     loop polls :attr:`pending` (or calls :meth:`checkpoint`) between
-    points and exits cleanly. A second Ctrl-C falls through to the
-    default handler — the escape hatch when a point itself hangs.
+    points and exits cleanly. SIGTERM gets the same treatment as
+    Ctrl-C, so ``kill PID`` drains a parallel run (workers joined,
+    journals merged) instead of orphaning its workers. A second signal
+    raises at once — the escape hatch when a point itself hangs.
 
-    In threads where signal handlers cannot be installed (or when the
-    handler is not the Python default), the manager degrades to a
-    no-op and SIGINT behaves as usual.
+    In threads where signal handlers cannot be installed the manager
+    degrades to a no-op and both signals behave as usual.
     """
+
+    SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
     def __init__(self) -> None:
         self.pending = False
-        self._previous = None
-        self._installed = False
+        self._previous: dict = {}
 
-    def _on_sigint(self, signum, frame) -> None:  # noqa: ANN001
-        if self.pending:  # second Ctrl-C: stop deferring
+    def _on_signal(self, signum, frame) -> None:  # noqa: ANN001
+        if self.pending:  # second signal: stop deferring
             raise KeyboardInterrupt
         self.pending = True
         counter("interrupt.deferred").inc()
 
     def __enter__(self) -> "CooperativeInterrupt":
         try:
-            self._previous = signal.signal(signal.SIGINT, self._on_sigint)
-            self._installed = True
+            for signum in self.SIGNALS:
+                self._previous[signum] = signal.signal(
+                    signum, self._on_signal
+                )
         except ValueError:  # not the main thread
-            self._installed = False
+            pass
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:  # noqa: ANN001
-        if self._installed:
-            signal.signal(signal.SIGINT, self._previous)
+        for signum, handler in self._previous.items():
+            signal.signal(signum, handler)
+        self._previous.clear()
 
     def checkpoint(self) -> None:
-        """Raise ``KeyboardInterrupt`` now if a SIGINT was deferred."""
+        """Raise ``KeyboardInterrupt`` now if a signal was deferred."""
         if self.pending:
             raise KeyboardInterrupt
 

@@ -1,16 +1,14 @@
-"""The sweep service: job queue, shared worker pool, result cache.
+"""The sweep service: job queue, result cache, and a daemon over both.
 
-``repro serve`` promotes the one-shot executor (:mod:`repro.exec`)
-into a long-lived daemon. Clients drop durable jobs into an on-disk
+``repro serve`` runs the one-shot parallel executor (:mod:`repro.exec`)
+under a long-lived daemon. Clients drop durable jobs into an on-disk
 queue (:mod:`repro.serve.queue`), the daemon decomposes every figure
-job into per-point sweep tasks and fans them over one shared worker
-pool (:mod:`repro.serve.pool`, reusing the executor's shard leases and
-fencing), and every finished point lands in a content-addressed
+job into per-benchmark sweeps and runs their missing points through
+:func:`repro.exec.parallel.run_parallel_sweep` (the same shard leases,
+fencing and journals as ``repro run --workers``), and every finished
+point lands in a content-addressed
 :class:`~repro.serve.results.ResultStore` keyed by ``sweep_key`` — so
 a repeat request is a cache hit served without touching the simulator.
-
-This is the "millions of users" architecture the roadmap names: most
-traffic hits the store, not the engine.
 """
 
 from repro.serve.queue import JobQueue, JobSpec

@@ -61,7 +61,7 @@ def fetch_result(queue_dir: str, job_id: str) -> Dict[str, Any]:
     current state so the caller knows whether to wait, resubmit, or
     run ``repro doctor --queue``.
     """
-    from repro.obs.ledger import _entry_crc
+    from repro.runtime.checkpoint import record_crc
 
     from repro.serve.daemon import JOB_RESULT_SCHEMA
 
@@ -77,7 +77,7 @@ def fetch_result(queue_dir: str, job_id: str) -> Dict[str, Any]:
     if (
         not isinstance(payload, dict)
         or payload.get("schema") != JOB_RESULT_SCHEMA
-        or payload.get("crc") != _entry_crc(payload)
+        or payload.get("crc") != record_crc(payload)
     ):
         raise ServeError(
             f"result artifact for job {job_id} is damaged; re-submit "

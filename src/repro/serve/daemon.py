@@ -9,10 +9,12 @@ One daemon owns one queue directory. Each scheduling pass (*tick*) it
 3. *serves* whatever the :class:`~repro.serve.results.ResultStore`
    already holds (``cache.hits``; a repeat submission finishes here
    without touching the simulator),
-4. fans the remaining tasks of **all** jobs over one shared worker
-   pool (:mod:`repro.serve.pool`) — respawn rounds re-claim crashed
-   workers' shards, and a serial in-process fallback guarantees
-   completion even if every worker dies every round,
+4. runs every planned *unit* -- one (scheme, trace, geometry) sweep --
+   that still misses points through the one-shot parallel executor
+   (:func:`repro.exec.parallel.run_parallel_sweep`, the code behind
+   ``repro run --workers``: lease-fenced shards, respawn rounds, a
+   serial fallback) over a unit journal under ``<queue>/pool/``, and
+   publishes every landed point into the store,
 5. *finalizes*: rebuilds each job's surfaces in plan order from the
    store, writes a CRC-stamped result artifact next to the job file,
    records ledger rows, and appends the terminal queue event.
@@ -20,68 +22,54 @@ One daemon owns one queue directory. Each scheduling pass (*tick*) it
 Because every finished point lands in the store before any job is
 finalized, two jobs needing the same point simulate it once, and a
 daemon killed at any instant restarts from the queue with no lost or
-duplicated points: leftover worker result logs are fence-checked and
-salvaged into the store at startup, and ``running`` jobs from the dead
-daemon re-queue.
+duplicated points: ``running`` jobs from the dead daemon re-queue, and
+re-planning the same unit resumes its journal, whose executor salvages
+the dead workers' journals.
 
-SIGTERM/SIGINT drain cooperatively — workers finish their in-flight
-task, logs fold into the store, live jobs re-queue resumably — and the
-daemon exits 0 with a merged metrics report covering everything any
-worker simulated under it.
+SIGTERM/SIGINT drain through the executor's own drain -- workers
+finish their in-flight point, journals merge and publish, live jobs
+re-queue resumably -- and the daemon exits 0 with a merged metrics
+report covering everything any worker simulated under it.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import signal
+import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.dashboard import FleetDashboard
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
-from repro.runtime.backoff import RESPAWN_BACKOFF
-from repro.runtime.checkpoint import atomic_write_text, sweep_key
-
-from repro.serve.pool import (
-    PoolPlan,
-    PoolTask,
-    clear_pool_artifacts,
-    load_pool_results,
-    pool_progress,
-    pool_worker_main,
-    result_point,
-    shard_tasks,
+from repro.runtime.checkpoint import (
+    CheckpointJournal,
+    atomic_write_text,
+    record_crc,
+    sweep_key,
 )
+from repro.runtime.deadline import CooperativeInterrupt
+from repro.sim.results import TierSurface
+from repro.traces.trace import BranchTrace
+
 from repro.serve.queue import Job, JobQueue, ServeError
 from repro.serve.results import RESULT_STORE_ENV, ResultStore, point_key
 
 #: Schema tag of the finished-job artifact written next to the job file.
 JOB_RESULT_SCHEMA = "repro.job-result/1"
 
-#: Seconds between daemon poll-loop ticks while workers run, and the
-#: idle sleep between queue scans (matches the executor's cadence).
+#: Seconds between idle queue scans.
 POLL_INTERVAL_S = 0.05
-
-#: Respawn rounds after worker failures before the daemon finishes the
-#: remainder serially in-process (guaranteed completion).
-MAX_ROUNDS = 3
-
-#: Seconds a draining worker gets to finish its in-flight task.
-DRAIN_TIMEOUT_S = 30.0
 
 
 @dataclass
 class UnitPlan:
-    """One benchmark of one job, decomposed into addressed points."""
+    """One benchmark of one job: a sweep, decomposed into addressed points."""
 
-    benchmark: str
-    trace_name: str
-    trace_path: str
-    fingerprint: str
+    trace: BranchTrace
     plan: List[Tuple[int, int]]
     keys: Dict[Tuple[int, int], str]
     sweep_key: str
@@ -95,21 +83,10 @@ class JobPlan:
     scheme: str
     units: List[UnitPlan]
     cache_hits: int = 0
-    cache_misses: int = 0
-    errors: List[str] = field(default_factory=list)
 
     @property
     def total_points(self) -> int:
         return sum(len(unit.plan) for unit in self.units)
-
-
-def _mp_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - no fork on this platform
-        return multiprocessing.get_context("spawn")
 
 
 class ServeDaemon:
@@ -138,7 +115,9 @@ class ServeDaemon:
         )
         self.results = ResultStore(results_dir)
         self.log = get_logger("repro.serve")
-        self._stop = False
+        #: SIGTERM/SIGINT land here; ``pending`` is the stop flag, and
+        #: the executor polls the same object to drain its workers.
+        self._interrupt = CooperativeInterrupt()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -147,66 +126,32 @@ class ServeDaemon:
         drains); returns the process exit code."""
         os.makedirs(self.queue.directory, exist_ok=True)
         os.makedirs(self.scratch, exist_ok=True)
-        previous = self._install_signals()
         try:
-            self._salvage()
-            while not self._stop:
-                progressed = self.tick()
-                if self._stop:
-                    break
-                if self.once:
-                    if not self._live_jobs():
+            with self._interrupt:
+                self._salvage()
+                while not self._interrupt.pending:
+                    progressed = self.tick()
+                    if self._interrupt.pending:
                         break
-                elif not progressed:
-                    time.sleep(self.poll_interval)
+                    if self.once:
+                        if not self._live_jobs():
+                            break
+                    elif not progressed:
+                        time.sleep(self.poll_interval)
         finally:
-            self._restore_signals(previous)
             self._shutdown()
         return 0
-
-    def _install_signals(self):
-        previous = {}
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous[signum] = signal.signal(signum, self._on_signal)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
-        return previous
-
-    def _restore_signals(self, previous) -> None:
-        for signum, handler in previous.items():
-            try:
-                signal.signal(signum, handler)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
-
-    def _on_signal(self, signum, frame) -> None:
-        # Just flip the flag: the poll loops notice it within one tick
-        # and coordinate the drain from normal control flow.
-        self._stop = True
 
     def _live_jobs(self) -> List[Job]:
         return [job for job in self.queue.jobs() if job.is_live()]
 
     def _salvage(self) -> None:
-        """Recover whatever a previous daemon's death left behind.
+        """Re-queue the ``running`` jobs a dead daemon left behind.
 
-        Worker result logs carry each point's content address, so a
-        crashed daemon's finished points fold straight into the result
-        store (fence-checked — a zombie's superseded lines are dropped)
-        without re-deriving any job's plan; ``running`` jobs re-queue
-        and their next pass serves the salvaged points as cache hits.
+        Their finished points are not lost: re-planning the same unit
+        reopens its journal under ``<queue>/pool/``, and the executor
+        folds in the dead workers' journals before it spawns anything.
         """
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop
-
-        salvaged = 0
-        for key, payload in load_pool_results(self.scratch).items():
-            self.results.put(key, int(payload["n"]), result_point(payload))
-            salvaged += 1
-        absorb_worker_reports(self.scratch)
-        clear_pool_artifacts(self.scratch)
-        clear_stop(self.scratch)
         requeued = 0
         for job in self.queue.jobs():
             if job.state == "running":
@@ -214,26 +159,13 @@ class ServeDaemon:
                     job, "queued", {"requeued": True}
                 )
                 requeued += 1
-        if salvaged or requeued:
-            self.log.info(
-                "salvage: %d point(s) recovered into the result store, "
-                "%d running job(s) re-queued",
-                salvaged,
-                requeued,
-            )
+        if requeued:
+            self.log.info("salvage: %d running job(s) re-queued", requeued)
 
     def _shutdown(self) -> None:
         """Leave the queue resumable and the telemetry merged."""
         from repro.obs.report import write_metrics
 
-        for key, payload in load_pool_results(self.scratch).items():
-            self.results.put(key, int(payload["n"]), result_point(payload))
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop
-
-        absorb_worker_reports(self.scratch)
-        clear_pool_artifacts(self.scratch)
-        clear_stop(self.scratch)
         for job in self._live_jobs():
             if job.state == "running":
                 self.queue.append_event(job, "queued", {"drained": True})
@@ -259,10 +191,9 @@ class ServeDaemon:
             return False
 
         # Serve from the store first: every already-cached point is a
-        # hit, and a fully cached job never reaches the pool.
-        tasks: Dict[str, PoolTask] = {}
+        # hit, and a fully cached job never reaches the executor.
         for plan in plans:
-            self._serve_cached(plan, tasks)
+            self._serve_cached(plan)
             if plan.job.state == "queued":
                 self.queue.append_event(
                     plan.job,
@@ -273,10 +204,16 @@ class ServeDaemon:
                     },
                 )
 
+        # Jobs that plan the same unit share one executor run.
+        units: Dict[str, Tuple[str, UnitPlan]] = {}
+        for plan in plans:
+            for unit in plan.units:
+                units.setdefault(unit.sweep_key, (plan.scheme, unit))
         errors: Dict[str, str] = {}
-        if tasks and not self._stop:
-            self._run_rounds(plans, tasks)
-            self._serial_fallback(tasks, errors)
+        for scheme, unit in units.values():
+            if self._interrupt.pending:
+                break
+            self._run_unit(scheme, unit, errors)
 
         for plan in plans:
             self._finalize(plan, errors)
@@ -347,7 +284,6 @@ class ServeDaemon:
         ]
         for bench in benchmarks:
             trace = store.get(bench, length=spec.length, seed=spec.seed)
-            trace_path = store.put(trace)
             fingerprint = trace.fingerprint()
             keys = {
                 (n, row_bits): point_key(scheme, fingerprint, n, row_bits)
@@ -355,10 +291,7 @@ class ServeDaemon:
             }
             units.append(
                 UnitPlan(
-                    benchmark=bench,
-                    trace_name=trace.name,
-                    trace_path=trace_path,
-                    fingerprint=fingerprint,
+                    trace=trace,
                     plan=list(grid),
                     keys=keys,
                     sweep_key=sweep_key(
@@ -368,197 +301,73 @@ class ServeDaemon:
             )
         return JobPlan(job=job, scheme=scheme, units=units)
 
-    def _serve_cached(
-        self, plan: JobPlan, tasks: Dict[str, PoolTask]
-    ) -> None:
-        """Count hits/misses for the job; queue tasks for the misses.
-
-        Identical points wanted by several jobs collapse to one task —
-        the task bag is keyed by content address, which is exactly the
-        in-flight dedup the result store's addressing buys.
-        """
+    def _serve_cached(self, plan: JobPlan) -> None:
+        """Count the job's cache hits, one ``get`` per point (the store
+        counts ``cache.hits``/``cache.misses``)."""
         for unit in plan.units:
-            for n, row_bits in unit.plan:
-                key = unit.keys[(n, row_bits)]
-                if self.results.get(key) is not None:
+            for point in unit.plan:
+                if self.results.get(unit.keys[point]) is not None:
                     plan.cache_hits += 1
-                    continue
-                plan.cache_misses += 1
-                tasks.setdefault(
-                    key,
-                    PoolTask(
-                        key=key,
-                        job_id=plan.job.id,
-                        benchmark=unit.benchmark,
-                        scheme=plan.scheme,
-                        trace_path=unit.trace_path,
-                        n=n,
-                        row_bits=row_bits,
-                    ),
-                )
 
     # -- execution -----------------------------------------------------
 
-    def _pending(self, tasks: Dict[str, PoolTask]) -> List[PoolTask]:
-        """Tasks whose points the store still lacks, jobs interleaved.
-
-        Round-robin across jobs so no single job monopolizes the
-        fleet's early shards — both concurrently submitted figures make
-        progress from the first round.
-        """
-        by_job: Dict[str, List[PoolTask]] = {}
-        for key in sorted(tasks):
-            task = tasks[key]
-            if self.results.peek(key) is not None:
-                continue
-            by_job.setdefault(task.job_id, []).append(task)
-        ordered: List[PoolTask] = []
-        queues = list(by_job.values())
-        while queues:
-            queues = [q for q in queues if q]
-            for q in queues:
-                if q:
-                    ordered.append(q.pop(0))
-        return ordered
-
-    def _run_rounds(
-        self, plans: List[JobPlan], tasks: Dict[str, PoolTask]
+    def _run_unit(
+        self, scheme: str, unit: UnitPlan, errors: Dict[str, str]
     ) -> None:
-        from repro.exec.leases import default_ttl_s
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop, request_stop
+        """Simulate the unit's points the store lacks; publish them.
 
-        fleet = (
-            FleetDashboard(f"serve x{self.workers}")
-            if self.dashboard
-            else None
+        The points go to the executor minus those the unit journal
+        already holds (a killed daemon's progress). A failure the
+        executor's serial fallback cannot get past is recorded against
+        the points still missing, so it fails only the jobs that need
+        them; a drain (SIGTERM/SIGINT) publishes what landed and
+        leaves the rest to the re-queued jobs.
+        """
+        # Looked up at call time, so wrappers of the executor see it.
+        from repro.exec import parallel
+
+        journal = CheckpointJournal.open(
+            os.path.join(self.scratch, f"{unit.sweep_key}.journal"),
+            unit.sweep_key,
         )
-        total = sum(plan.total_points for plan in plans)
-        clear_stop(self.scratch)
+        missing = [
+            point
+            for point in unit.plan
+            if self.results.peek(unit.keys[point]) is None
+        ]
+        held = journal.completed()
+        pending = [point for point in missing if point not in held]
+        counter("sweep.points_restored").inc(len(missing) - len(pending))
         try:
-            for round_index in range(MAX_ROUNDS):
-                pending = self._pending(tasks)
-                if not pending or self._stop:
-                    break
-                if round_index > 0:
-                    counter("retry.attempts").inc()
-                    RESPAWN_BACKOFF.sleep(round_index - 1)
-                counter("serve.rounds").inc()
-                shards = shard_tasks(pending, self.workers)
-                context = _mp_context()
-                processes = []
-                count = min(self.workers, len(shards))
-                for position in range(count):
-                    worker_plan = PoolPlan(
-                        worker_id=round_index * self.workers + position,
-                        shards=tuple(shards),
-                        scratch_dir=self.scratch,
-                        engine=self.engine,
-                        lease_ttl_s=default_ttl_s(),
-                        start_offset=(position * len(shards)) // count,
-                    )
-                    process = context.Process(
-                        target=pool_worker_main,
-                        args=(worker_plan,),
-                        daemon=True,
-                    )
-                    process.start()
-                    processes.append(process)
-                counter("exec.workers_spawned").inc(len(processes))
-                stop_sent = False
-                while any(p.is_alive() for p in processes):
-                    if self._stop and not stop_sent:
-                        request_stop(self.scratch)
-                        stop_sent = True
-                    if fleet is not None and fleet.due():
-                        done = total - len(self._pending(tasks))
-                        fleet.update(
-                            pool_progress(self.scratch),
-                            done=done,
-                            total=total,
-                            fence_rejections=int(
-                                counter("lease.fence_rejections").value
-                            ),
-                            shards_total=len(shards),
-                        )
-                    time.sleep(self.poll_interval)
-                deadline_at = time.monotonic() + DRAIN_TIMEOUT_S
-                for process in processes:
-                    process.join(
-                        timeout=max(0.0, deadline_at - time.monotonic())
-                    )
-                for process in processes:
-                    if process.is_alive():  # pragma: no cover - hung worker
-                        process.terminate()
-                        process.join(timeout=5.0)
-                failures = sum(
-                    1 for p in processes if p.exitcode not in (0, None)
+            if pending:
+                parallel.run_parallel_sweep(
+                    scheme,
+                    unit.trace,
+                    pending,
+                    journal,
+                    TierSurface(scheme=scheme, trace_name=unit.trace.name),
+                    self._interrupt,
+                    workers=self.workers,
+                    engine=self.engine,
+                    dashboard=self.dashboard,
                 )
-                for key, payload in load_pool_results(self.scratch).items():
-                    self.results.put(
-                        key, int(payload["n"]), result_point(payload)
-                    )
-                absorb_worker_reports(self.scratch)
-                clear_pool_artifacts(self.scratch)
-                if failures:
-                    counter("exec.worker_failures").inc(failures)
-                    self.log.warning(
-                        "serve round %d: %d worker(s) died; "
-                        "re-claiming their shards",
-                        round_index,
-                        failures,
-                    )
-                else:
-                    break
-        finally:
-            if fleet is not None:
-                fleet.finish()
-
-    def _serial_fallback(
-        self, tasks: Dict[str, PoolTask], errors: Dict[str, str]
-    ) -> None:
-        """Finish what survived every round in-process.
-
-        A deterministic failure surfaces here as a per-point error and
-        fails only the jobs that need that point; everything else
-        completes.
-        """
-        from repro.exec.worker import WorkerPlan, compute_point
-        from repro.traces.io import load_trace
-
-        traces: Dict[str, object] = {}
-        for task in self._pending(tasks):
-            if self._stop:
-                return
-            stub = WorkerPlan(
-                worker_id=-1,
-                scheme=task.scheme,
-                trace_path=task.trace_path,
-                shards=(),
-                scratch_dir=self.scratch,
-                journal_key="",
-                engine=self.engine,
-                bht_entries=task.bht_entries,
-                bht_assoc=task.bht_assoc,
+        except KeyboardInterrupt:
+            if not self._interrupt.pending:
+                raise
+        except Exception as error:
+            message = f"{type(error).__name__}: {error}"
+            for point in pending:
+                errors[unit.keys[point]] = message
+            self.log.error(
+                "%s sweep of %s failed: %s", scheme, unit.trace.name, message
             )
-            try:
-                if task.trace_path not in traces:
-                    traces[task.trace_path] = load_trace(task.trace_path)
-                point = compute_point(
-                    stub, traces[task.trace_path], task.n, task.row_bits
-                )
-            except Exception as error:
-                errors[task.key] = f"{type(error).__name__}: {error}"
-                self.log.error(
-                    "point (%s n=%d r=%d) failed deterministically: %s",
-                    task.scheme,
-                    task.n,
-                    task.row_bits,
-                    errors[task.key],
-                )
-                continue
-            counter("sweep.points_computed").inc()
-            self.results.put(task.key, task.n, point)
+        finally:
+            for n, point in journal.points:
+                self.results.put(unit.keys[(n, point.row_bits)], n, point)
+            journal.discard()
+            # The executor removes its scratch; this catches one a
+            # killed daemon left when the journal alone covered the unit.
+            shutil.rmtree(journal.path + ".exec", ignore_errors=True)
 
     # -- completion ----------------------------------------------------
 
@@ -568,17 +377,16 @@ class ServeDaemon:
         from repro.analysis.ascii_plots import render_surface
         from repro.experiments.runner import experiment_title
         from repro.obs.ledger import note_sweep_key, record_run
-        from repro.sim.results import TierSurface
 
         job = plan.job
         if job.state != "running":  # cancelled (or failed) mid-pass
             return
         missing = 0
         first_error: Optional[str] = None
-        blocks = []
+        surfaces = []
         for unit in plan.units:
             surface = TierSurface(
-                scheme=plan.scheme, trace_name=unit.trace_name
+                scheme=plan.scheme, trace_name=unit.trace.name
             )
             for n, row_bits in unit.plan:
                 key = unit.keys[(n, row_bits)]
@@ -589,8 +397,8 @@ class ServeDaemon:
                         first_error = errors[key]
                     continue
                 surface.add(n, point)
-            blocks.append(render_surface(surface))
-        if self._stop and missing:
+            surfaces.append(surface)
+        if self._interrupt.pending and missing:
             return  # draining: the job re-queues resumably at shutdown
         if missing:
             detail = {
@@ -612,13 +420,9 @@ class ServeDaemon:
                 "id": job.id,
                 "experiment": job.spec.experiment,
                 "title": experiment_title(job.spec.experiment),
-                "text": "\n\n".join(blocks),
+                "text": "\n\n".join(map(render_surface, surfaces)),
             }
-            from repro.obs.ledger import _entry_crc
-
-            payload["crc"] = _entry_crc(payload)
-            import json
-
+            payload["crc"] = record_crc(payload)
             atomic_write_text(
                 job.result_path(),
                 json.dumps(payload, sort_keys=True) + "\n",

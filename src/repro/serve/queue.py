@@ -12,8 +12,9 @@ like the run ledger:
   valid event (no events = ``queued``).
 
 Durability and single-writer discipline: the header is written once by
-the submitting client through exclusive creation (two clients racing
-the same sequence number cannot both win); every later event is
+the submitting client to a temp file that is hard-linked into place
+(two clients racing the same sequence number cannot both win, and no
+reader ever sees a job file without its header); every later event is
 appended by the daemon alone via whole-file atomic rewrite. Cancel
 requests therefore travel out-of-band — a ``<job file>.cancel``
 sidecar created by the client, honored and recorded by the daemon — so
@@ -32,13 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import counter
-from repro.runtime.checkpoint import atomic_write_text
+from repro.runtime.checkpoint import atomic_write_text, record_crc
 
 #: Schema tag stamped into every job-file line.
 JOB_SCHEMA = "repro.job/1"
@@ -100,12 +102,6 @@ class JobSpec:
         return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:12]
 
 
-def _line_crc(payload: Dict[str, Any]) -> int:
-    from repro.obs.ledger import _entry_crc
-
-    return _entry_crc(payload)
-
-
 def _decode_line(line: str, kind: str) -> Optional[Dict[str, Any]]:
     """Decode one CRC-stamped job-file line; None when torn/corrupt."""
     try:
@@ -114,7 +110,7 @@ def _decode_line(line: str, kind: str) -> Optional[Dict[str, Any]]:
         return None
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         return None
-    if payload.get("crc") != _line_crc(payload):
+    if payload.get("crc") != record_crc(payload):
         return None
     return payload
 
@@ -188,18 +184,17 @@ class JobQueue:
         Dedup: when a live job with the same spec key already exists,
         the submission *attaches* to it (``attached=True``, counted in
         ``serve.jobs_deduped``) instead of enqueueing a duplicate. Two
-        clients racing the same spec are serialized by ``O_EXCL``
-        creation of the sequence-numbered file — the loser rescans and
-        attaches to the winner's job.
+        clients racing the same spec are serialized by exclusive
+        creation (a hard link) of the sequence-numbered file — the
+        loser rescans and attaches to the winner's job.
         """
         os.makedirs(self.directory, exist_ok=True)
         spec_key = spec.key()
         for _attempt in range(50):
-            live = self._live_job(spec_key)
+            live, seq = self._scan(spec_key)
             if live is not None:
                 counter("serve.jobs_deduped").inc()
                 return live, True
-            seq = self._next_seq(spec_key)
             path = self._job_path(spec_key, seq)
             header = {
                 "schema": JOB_SCHEMA,
@@ -208,15 +203,23 @@ class JobQueue:
                 "spec": spec.to_json(),
                 "submitted": time.time(),
             }
-            header["crc"] = _line_crc(header)
+            header["crc"] = record_crc(header)
+            # Write the header under a private temp name, then link it
+            # into place: link fails when the name exists, and a job
+            # file is never visible without its header.
+            fd, tmp = tempfile.mkstemp(
+                prefix=".submit-", suffix=".tmp", dir=self.directory
+            )
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+                with os.fdopen(fd, "w", encoding="ascii") as handle:
+                    handle.write(json.dumps(header, sort_keys=True) + "\n")
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.link(tmp, path)
             except FileExistsError:
                 continue  # lost the race for this seq: rescan (may attach)
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            finally:
+                os.remove(tmp)
             counter("serve.jobs_submitted").inc()
             return (
                 Job(
@@ -232,24 +235,29 @@ class JobQueue:
             "(submission race never settled)"
         )
 
-    def _live_job(self, spec_key: str) -> Optional[Job]:
-        for job in self.jobs():
-            if job.spec_key == spec_key and job.is_live():
-                return job
-        return None
+    def _scan(self, spec_key: str) -> Tuple[Optional[Job], int]:
+        """One listing of ``spec_key``'s job files: the live job to
+        attach to (if any) and the next free sequence number.
 
-    def _next_seq(self, spec_key: str) -> int:
-        import glob as _glob
-
-        best = -1
-        pattern = os.path.join(self.directory, f"job-{spec_key}-*.job")
-        for path in _glob.glob(pattern):
+        Deciding both from the same listing closes the race: a job a
+        racer creates after the listing takes a number no lower than
+        ours, so our link collides and the rescan attaches to it.
+        """
+        prefix = f"job-{spec_key}-"
+        live: Optional[Job] = None
+        seq = 0
+        for path in self.job_paths():
             stem = os.path.basename(path)[: -len(".job")]
+            if not stem.startswith(prefix):
+                continue
             try:
-                best = max(best, int(stem.rsplit("-", 1)[1]))
+                seq = max(seq, int(stem[len(prefix) :]) + 1)
             except ValueError:
                 continue
-        return best + 1
+            job = self.load(path)
+            if live is None and job is not None and job.is_live():
+                live = job
+        return live, seq
 
     # -- reading -------------------------------------------------------
 
@@ -341,7 +349,7 @@ class JobQueue:
             "ts": time.time(),
             "detail": detail or {},
         }
-        event["crc"] = _line_crc(event)
+        event["crc"] = record_crc(event)
         current.events.append(event)
         job.events.append(event)
         lines = [self._header_line(current)]
@@ -358,7 +366,7 @@ class JobQueue:
             "spec": job.spec.to_json(),
             "submitted": job.submitted,
         }
-        header["crc"] = _line_crc(header)
+        header["crc"] = record_crc(header)
         return json.dumps(header, sort_keys=True)
 
     # -- cancellation (client-side signal) -----------------------------

@@ -27,7 +27,7 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import counter
-from repro.runtime.checkpoint import atomic_write_text, sweep_key
+from repro.runtime.checkpoint import atomic_write_text, record_crc, sweep_key
 from repro.sim.results import TierPoint
 
 #: Environment variable naming the shared result-store directory.
@@ -67,33 +67,6 @@ def point_key(
     )
 
 
-def _point_to_json(n: int, point: TierPoint) -> Dict:
-    return {
-        "n": n,
-        "col_bits": point.col_bits,
-        "row_bits": point.row_bits,
-        "misprediction_rate": point.misprediction_rate,
-        "aliasing_rate": point.aliasing_rate,
-        "first_level_miss_rate": point.first_level_miss_rate,
-    }
-
-
-def _point_from_json(payload: Dict) -> TierPoint:
-    return TierPoint(
-        col_bits=payload["col_bits"],
-        row_bits=payload["row_bits"],
-        misprediction_rate=payload["misprediction_rate"],
-        aliasing_rate=payload.get("aliasing_rate"),
-        first_level_miss_rate=payload.get("first_level_miss_rate"),
-    )
-
-
-def _artifact_crc(payload: Dict) -> int:
-    from repro.obs.ledger import _entry_crc
-
-    return _entry_crc(payload)
-
-
 class ResultStore:
     """Directory-backed cache of finished sweep points."""
 
@@ -130,14 +103,14 @@ class ResultStore:
             return None
         counter("cache.hits").inc()
         self._touch(self._path(key))
-        return _point_from_json(payload["point"])
+        return TierPoint.from_json(payload["point"])
 
     def peek(self, key: str) -> Optional[TierPoint]:
         """Like :meth:`get` but silent: no counters, no LRU touch."""
         payload = self._load(self._path(key))
         if payload is None or payload.get("key") != key:
             return None
-        return _point_from_json(payload["point"])
+        return TierPoint.from_json(payload["point"])
 
     def put(self, key: str, n: int, point: TierPoint) -> str:
         """Persist one finished point under ``key``; returns the path.
@@ -151,9 +124,9 @@ class ResultStore:
         payload = {
             "schema": RESULT_SCHEMA,
             "key": key,
-            "point": _point_to_json(n, point),
+            "point": point.to_json(n),
         }
-        payload["crc"] = _artifact_crc(payload)
+        payload["crc"] = record_crc(payload)
         path = self._path(key)
         atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         return path
@@ -168,7 +141,7 @@ class ResultStore:
             return None
         if payload.get("schema") != RESULT_SCHEMA:
             return None
-        if payload.get("crc") != _artifact_crc(payload):
+        if payload.get("crc") != record_crc(payload):
             return None
         if not isinstance(payload.get("point"), dict):
             return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -73,6 +73,29 @@ class TierPoint:
     @property
     def size_label(self) -> str:
         return f"2^{self.col_bits}x2^{self.row_bits}"
+
+    def to_json(self, n: int) -> Dict[str, Any]:
+        """The point's fields in the tier of 2^``n`` counters, as stored
+        in checkpoint journal lines and result-store artifacts."""
+        return {
+            "n": n,
+            "col_bits": self.col_bits,
+            "row_bits": self.row_bits,
+            "misprediction_rate": self.misprediction_rate,
+            "aliasing_rate": self.aliasing_rate,
+            "first_level_miss_rate": self.first_level_miss_rate,
+        }
+
+    @classmethod
+    def from_json(cls, payload: Dict[str, Any]) -> "TierPoint":
+        """Inverse of :meth:`to_json` (extra keys are ignored)."""
+        return cls(
+            col_bits=payload["col_bits"],
+            row_bits=payload["row_bits"],
+            misprediction_rate=payload["misprediction_rate"],
+            aliasing_rate=payload.get("aliasing_rate"),
+            first_level_miss_rate=payload.get("first_level_miss_rate"),
+        )
 
 
 @dataclass

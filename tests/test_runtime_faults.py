@@ -9,6 +9,9 @@ documented.
 import json
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -378,11 +381,101 @@ class TestDeadlinesAndRetries:
             with pytest.raises(KeyboardInterrupt):
                 interrupt.checkpoint()
 
+    def test_cooperative_interrupt_defers_sigterm(self):
+        with CooperativeInterrupt() as interrupt:
+            os.kill(os.getpid(), signal.SIGTERM)
+            assert interrupt.pending  # deferred like SIGINT, not fatal
+            with pytest.raises(KeyboardInterrupt):
+                interrupt.checkpoint()
+
     def test_cooperative_interrupt_restores_handler(self):
         before = signal.getsignal(signal.SIGINT)
         with CooperativeInterrupt():
             assert signal.getsignal(signal.SIGINT) is not before
         assert signal.getsignal(signal.SIGINT) is before
+
+    def test_cooperative_interrupt_restores_sigterm_handler(self):
+        before = signal.getsignal(signal.SIGTERM)
+        with CooperativeInterrupt():
+            assert signal.getsignal(signal.SIGTERM) is not before
+        assert signal.getsignal(signal.SIGTERM) is before
+
+
+class TestSigtermDrain:
+    """``kill PID`` on a parallel run drains it like Ctrl-C: exit 130,
+    every worker joined, and the journal resumes to serial output."""
+
+    RUN = [
+        "run", "fig4", "--benchmark", "compress", "--length", "20000",
+        "--sizes", "4", "5", "6", "7", "8", "9", "10", "11",
+    ]
+
+    @staticmethod
+    def _repro(args, **kwargs):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("REPRO_FAULT_SPEC", None)
+        env.pop("REPRO_RESULT_STORE", None)
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _children(pid):
+        found = subprocess.run(
+            ["pgrep", "-P", str(pid)], capture_output=True, text=True
+        )
+        return [int(line) for line in found.stdout.split()]
+
+    @staticmethod
+    def _alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    def test_sigterm_drains_workers_and_resumes(self, tmp_path):
+        parallel = [
+            *self.RUN, "--workers", "2",
+            "--checkpoint-dir", str(tmp_path / "ck"),
+        ]
+        run = self._repro(parallel)
+        children = []
+        try:
+            deadline = time.monotonic() + 120
+            while len(children) < 2 and run.poll() is None:
+                assert time.monotonic() < deadline, "workers never started"
+                children = self._children(run.pid)
+                time.sleep(0.02)
+            assert len(children) >= 2, "run ended before both workers lived"
+            run.send_signal(signal.SIGTERM)
+            _, stderr = run.communicate(timeout=120)
+            survivors = [pid for pid in children if self._alive(pid)]
+        finally:
+            if run.poll() is None:
+                run.kill()
+                run.wait()
+            for pid in children:  # never leak an orphaned worker
+                if self._alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert run.returncode == 130, stderr
+        assert survivors == []
+        assert list((tmp_path / "ck").glob("*.journal"))
+
+        resumed = self._repro(parallel)
+        resumed_out, resumed_err = resumed.communicate(timeout=300)
+        assert resumed.returncode == 0, resumed_err
+        serial = self._repro(self.RUN)
+        serial_out, serial_err = serial.communicate(timeout=300)
+        assert serial.returncode == 0, serial_err
+        assert resumed_out == serial_out
 
 
 class TestSmokeScript:

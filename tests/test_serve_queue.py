@@ -107,6 +107,64 @@ class TestSubmit:
         assert len(ids) == 1
         assert sum(1 for _, attached in outcomes if not attached) == 1
 
+    def test_submit_racing_a_fresh_job_file_attaches(
+        self, tmp_path, monkeypatch
+    ):
+        # Run a second submit the instant the first one's job file
+        # appears on disk (os.open creates it, os.link publishes it):
+        # the file must already carry its header, so the racer attaches
+        # instead of reading a headerless file and enqueueing again.
+        queue = JobQueue(str(tmp_path))
+        racer = []
+
+        def after_job_file_appears(real):
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if not racer and any(
+                    str(arg).endswith(".job") for arg in args
+                ):
+                    racer.append(None)  # first: the racer must not re-fire
+                    racer[0] = JobQueue(str(tmp_path)).submit(_spec())
+                return result
+
+            return call
+
+        monkeypatch.setattr(os, "open", after_job_file_appears(os.open))
+        monkeypatch.setattr(os, "link", after_job_file_appears(os.link))
+        first, first_attached = queue.submit(_spec())
+        monkeypatch.undo()
+
+        (second, second_attached), = racer
+        assert not first_attached
+        assert second_attached and second.id == first.id
+        assert len(queue.job_paths()) == 1
+
+    def test_submit_racing_after_the_scan_attaches(
+        self, tmp_path, monkeypatch
+    ):
+        # Run a second submit right after the first one lists the
+        # queue and finds nothing live: the first must not then number
+        # its job past the racer's, but collide with it and attach.
+        queue = JobQueue(str(tmp_path))
+        racer = []
+        listdir = os.listdir
+
+        def listdir_then_race(path):
+            names = listdir(path)
+            if not racer:
+                racer.append(None)  # first: the racer must not re-fire
+                racer[0] = JobQueue(str(tmp_path)).submit(_spec())
+            return names
+
+        monkeypatch.setattr(os, "listdir", listdir_then_race)
+        first, first_attached = queue.submit(_spec())
+        monkeypatch.undo()
+
+        (second, second_attached), = racer
+        assert not second_attached
+        assert first_attached and first.id == second.id
+        assert len(queue.job_paths()) == 1
+
 
 class TestEventsAndState:
     def test_state_follows_last_event(self, tmp_path):
