@@ -1021,7 +1021,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(
             f"{verb} {trace.name}: {len(trace)} branches, "
             f"{trace.num_static_branches} static -> "
-            f"{store._path(args.benchmark, length, args.seed, args.seed)}"
+            f"{store.path(args.benchmark, length, args.seed)}"
         )
         return 0
 

@@ -7,7 +7,8 @@ parent never simulates while workers are healthy; it
    scratch directory (their points count as restored progress),
 2. *publishes* the trace once into the trace store (content
    fingerprint key), so N workers load one ``.npz`` instead of
-   regenerating N traces,
+   regenerating N traces (a caller whose trace is already a file
+   passes its path instead),
 3. *spawns* a round of worker processes that race for shard leases,
 4. *polls*: tails worker journals for live progress (feeding the
    ``on_point`` hook exactly like the serial loop), enforces the
@@ -119,6 +120,7 @@ def run_parallel_sweep(
     completed: int = 0,
     total: int = 0,
     dashboard: bool = False,
+    trace_path: Optional[str] = None,
 ) -> int:
     """Execute ``pending`` points across ``workers`` processes.
 
@@ -127,6 +129,9 @@ def run_parallel_sweep(
     :class:`~repro.runtime.deadline.CooperativeInterrupt`.
     ``dashboard=True`` renders the live fleet table on stderr from the
     poll loop (stdout and all results are unaffected).
+    ``trace_path`` names a file already holding ``trace`` (the serve
+    daemon's trace store has one); without it the trace is saved into
+    the trace store first.
     """
     from repro.workloads.store import TraceStore
 
@@ -173,10 +178,11 @@ def run_parallel_sweep(
         _land(n, point, "sweep.points_restored")
     merge.clear_worker_artifacts(scratch)
 
-    store = TraceStore.from_env()
-    if store is None:
-        store = TraceStore(os.path.join(scratch, "traces"))
-    trace_path = store.put(trace)
+    if trace_path is None:
+        store = TraceStore.from_env()
+        if store is None:
+            store = TraceStore(os.path.join(scratch, "traces"))
+        trace_path = store.put(trace)
 
     def _poll_progress() -> None:
         fresh = merge.load_worker_points(scratch, journal.key)

@@ -15,17 +15,19 @@ Design constraints:
   is a single global-flag check and a bare ``yield``. The hot-path lint
   (``code.hot-time``) forbids ``time.*`` calls in those files — the
   clock lives here, behind the flag.
-* **Phases tile the engine.** The engine-internal phases
-  (``index_stream``, ``fsm_scan``, ``counter_update``) are
-  non-overlapping by construction, and the engine guard records the
+* **Phases tile the engine.** Every phase reports its self time
+  (a nested phase's duration is subtracted from the enclosing one),
+  so the engine-internal phases (``index_stream``, ``fsm_scan``,
+  ``counter_update``) never overlap, and the engine guard records the
   *residual* of each engine call as ``engine_other``
   (:func:`record_engine_other`), so
   ``sum(sim.phase.<engine phases>) ~= sim.wall_s`` whenever profiling
   is on. ``trace_decode`` and ``checkpoint_flush`` happen outside
   engine calls and are reported separately.
-* **Low overhead.** One ``perf_counter_ns`` pair per phase entry, a
-  histogram observation, and a dict add under a lock — phases fire per
-  engine call / journal flush, never per branch. Measured overhead on
+* **Low overhead.** One ``perf_counter_ns`` pair per phase entry (one
+  more when it nests in another), a histogram observation, and a dict
+  add under a lock — phases fire per engine call / journal flush,
+  never per branch. Measured overhead on
   the benchmark sweeps is under ~1% of wall time.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.obs.metrics import histogram
 
@@ -69,6 +71,7 @@ _COVERED_ENGINE_PHASES: Tuple[str, ...] = (
 )
 
 _lock = threading.Lock()
+_local = threading.local()
 _enabled = False
 _totals: Dict[str, float] = {}
 
@@ -100,16 +103,35 @@ def phase(name: str) -> Iterator[None]:
 
     ``name`` must be one of :data:`PHASES` — the histogram it reports
     into (``sim.phase.<name>``) is pre-declared in ``WELL_KNOWN``.
+
+    A phase reports its *self* time: when phases nest, the inner
+    phase's whole duration (its own bookkeeping included) is subtracted
+    from the enclosing one, per thread, so nested phases add up instead
+    of double-counting.
     """
     if not _enabled:
         yield
         return
+    stack = _open_phases()
+    frame = [0]  # nanoseconds covered by directly nested phases
+    stack.append(frame)
     started = time.perf_counter_ns()
     try:
         yield
     finally:
-        seconds = (time.perf_counter_ns() - started) / 1e9
-        _record(name, seconds)
+        elapsed = time.perf_counter_ns() - started
+        stack.pop()
+        _record(name, (elapsed - frame[0]) / 1e9)
+        if stack:
+            stack[-1][0] += time.perf_counter_ns() - started
+
+
+def _open_phases() -> List[List[int]]:
+    """This thread's stack of open phases (one child-time cell each)."""
+    stack = getattr(_local, "stack", None)
+    if stack is None:
+        stack = _local.stack = []
+    return stack
 
 
 def _record(name: str, seconds: float) -> None:

@@ -70,6 +70,9 @@ class UnitPlan:
     """One benchmark of one job: a sweep, decomposed into addressed points."""
 
     trace: BranchTrace
+    #: The trace store's file for ``trace``; the executor's workers
+    #: load it rather than a second copy.
+    trace_path: str
     plan: List[Tuple[int, int]]
     keys: Dict[Tuple[int, int], str]
     sweep_key: str
@@ -292,6 +295,9 @@ class ServeDaemon:
             units.append(
                 UnitPlan(
                     trace=trace,
+                    trace_path=store.path(
+                        bench, length=spec.length, seed=spec.seed
+                    ),
                     plan=list(grid),
                     keys=keys,
                     sweep_key=sweep_key(
@@ -350,6 +356,7 @@ class ServeDaemon:
                     workers=self.workers,
                     engine=self.engine,
                     dashboard=self.dashboard,
+                    trace_path=unit.trace_path,
                 )
         except KeyboardInterrupt:
             if not self._interrupt.pending:

@@ -37,7 +37,11 @@ from repro.predictors.specs import (
     word_index,
 )
 from repro.obs.profile import phase
-from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
+from repro.sim.fsm_scan import (
+    scan_automaton,
+    segmented_counter_predictions,
+    stable_order,
+)
 from repro.sim.results import SimulationResult
 from repro.traces.trace import BranchTrace
 
@@ -448,7 +452,7 @@ def _tournament_predictions(
     chooser_index = words & (spec.chooser_rows - 1)
     inputs = a_correct.astype(np.uint8) + 2 * b_correct.astype(np.uint8)
 
-    order = np.argsort(chooser_index, kind="stable")
+    order = stable_order(chooser_index)
     states_before = scan_automaton(
         transitions=transitions,
         inputs=inputs[order],

@@ -68,9 +68,16 @@ class TraceStore:
             return None
         return cls(directory)
 
-    def _path(
-        self, name: str, length: int, seed: int, trace_seed: int
+    def path(
+        self,
+        name: str,
+        length: int,
+        seed: int = 0,
+        trace_seed: Optional[int] = None,
     ) -> str:
+        """The file :meth:`get` loads the trace from (or saves it to)."""
+        if trace_seed is None:
+            trace_seed = seed
         filename = f"{name}-L{length}-s{seed}-t{trace_seed}.npz"
         return os.path.join(self.directory, filename)
 
@@ -84,7 +91,7 @@ class TraceStore:
         """Load the trace from disk, generating and saving on a miss."""
         if trace_seed is None:
             trace_seed = seed
-        path = self._path(name, length, seed, trace_seed)
+        path = self.path(name, length, seed, trace_seed)
         if os.path.exists(path):
             counter("store.hits").inc()
             self._touch(path)
@@ -150,9 +157,7 @@ class TraceStore:
         trace_seed: Optional[int] = None,
     ) -> bool:
         """Whether the trace is already materialized on disk."""
-        if trace_seed is None:
-            trace_seed = seed
-        return os.path.exists(self._path(name, length, seed, trace_seed))
+        return os.path.exists(self.path(name, length, seed, trace_seed))
 
     def stored_files(self) -> list:
         """Paths of all stored traces (empty if the dir is absent)."""

@@ -70,6 +70,54 @@ class TestPhasePrimitive:
         assert phase_totals() == {}
         assert not profiling_enabled()
 
+    def test_nested_phase_reports_self_time(self):
+        """An enclosing phase reports its own time only: the nested
+        phase's time is subtracted, so the totals add up to the outer
+        block's wall time instead of counting the inner part twice."""
+        import time
+
+        enable_profiling()
+        started = time.perf_counter()
+        with phase("counter_update"):
+            time.sleep(0.02)
+            with phase("fsm_scan"):
+                time.sleep(0.05)
+            time.sleep(0.02)
+        outer_wall = time.perf_counter() - started
+        totals = phase_totals()
+        assert totals["fsm_scan"] >= 0.05
+        assert 0.04 <= totals["counter_update"] < totals["fsm_scan"]
+        assert totals["counter_update"] + totals["fsm_scan"] <= outer_wall
+        assert totals["counter_update"] + totals["fsm_scan"] == (
+            pytest.approx(outer_wall, rel=0.10)
+        )
+
+    def test_sibling_threads_do_not_nest(self):
+        """The nesting stack is per thread: a phase open in another
+        thread is not the parent of this thread's phase."""
+        import threading
+        import time
+
+        enable_profiling()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def other():
+            with phase("index_stream"):
+                entered.set()
+                release.wait(5.0)
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        entered.wait(5.0)
+        with phase("fsm_scan"):
+            time.sleep(0.03)
+        release.set()
+        worker.join()
+        totals = phase_totals()
+        assert totals["index_stream"] >= 0.03
+        assert totals["fsm_scan"] >= 0.03
+
     def test_all_phases_predeclared(self):
         histograms = snapshot()["histograms"]
         for name in PHASES:
